@@ -9,7 +9,10 @@ instance. Three per-column access paths cover the cases:
   SPLIT   analytical copy for [0, watermark), frozen tail above it.
 
 Execution is interpreted and vectorized over fixed-size blocks; there
-is no code generation. Workers pull blocks from a locality-aware
+is no code generation. Within a block every step is an array
+operation: group-by codes rows with np.unique and aggregates every
+group at once, and the join looks fact keys up in a dimension table
+built once per query. Workers pull blocks from a locality-aware
 queue, and per-block partials are reduced in block order, so results
 are identical for any worker count.
 """
@@ -24,6 +27,8 @@ import numpy as np
 from .storage import CHUNK_ROWS, ChunkedColumn
 
 BLOCK_ROWS = CHUNK_ROWS    # block == chunk keeps most reads zero-copy
+# a direct-address join table may hold at most this many slots per key
+DENSE_SPAN_FACTOR = 4
 
 SHAPES = ("scan-filter-reduce", "scan-filter-groupby", "fact-dimension-join")
 AGG_OPS = ("sum", "count", "avg", "min")
@@ -197,11 +202,8 @@ class OlapInstance:
 
     def overwrite_from(self, table, frozen, column, rows):
         """Re-copy updated cells of one column from a frozen handle."""
-        dst = self.columns[table][column]
-        src = frozen.column(column)
         width = next(c.byte_width for c in self.schema[table] if c.name == column)
-        for row in rows:
-            dst.write(row, src.read(row))
+        self.columns[table][column].copy_rows_from(frozen.column(column), rows)
         return len(rows) * width
 
 
@@ -380,10 +382,11 @@ def _block_spans(total):
 
 
 class _DimSide:
-    """Worker-private dimension lookup for the join shape.
+    """Dimension side of the join shape: filtered columns plus a key lookup.
 
-    Built per worker without synchronization; misses drop the fact row
-    (inner join).
+    Built once per execute and shared read-only by the workers; misses
+    drop the fact row (inner join). A repeated dimension key resolves to
+    its first row.
     """
 
     def __init__(self, plan, path_plan, olap, frozen):
@@ -393,19 +396,92 @@ class _DimSide:
         keep = pred.mask(arrays) if pred is not None else None
         if keep is not None:
             arrays = {c: v[keep] for c, v in arrays.items()}
-        keys = arrays[join.dim_key]
-        self.order = np.argsort(keys, kind="stable")
-        self.sorted_keys = keys[self.order]
         self.arrays = arrays
+        self.lookup = KeyLookup(arrays[join.dim_key])
 
-    def lookup(self, fact_keys):
-        """Return (matched mask, dim row positions) for a block of keys."""
-        idx = np.searchsorted(self.sorted_keys, fact_keys)
-        idx = np.clip(idx, 0, max(len(self.sorted_keys) - 1, 0))
+
+class KeyLookup:
+    """Positions of fact keys among a dimension's keys.
+
+    Integer keys whose range is at most DENSE_SPAN_FACTOR times their
+    count get a direct-address table, one gather per block. Other keys
+    are kept sorted, and each block binary-searches only its distinct
+    keys: on numpy 2.4, searching 4,096 unsorted keys took about three
+    times as long as sorting them with np.unique and searching the
+    distinct ones.
+    """
+
+    def __init__(self, keys):
+        self.sorted_keys, self.first = np.unique(keys, return_index=True)
+        self.table = None
+        if len(keys) and keys.dtype.kind == "i":
+            self.lo = int(self.sorted_keys[0])
+            span = int(self.sorted_keys[-1]) - self.lo + 1
+            if span <= DENSE_SPAN_FACTOR * len(keys):
+                self.table = np.full(span, -1, dtype=np.int64)
+                self.table[self.sorted_keys - self.lo] = self.first
+
+    def __call__(self, fact_keys):
+        """Return (matched mask, dimension row positions) for a block of keys.
+
+        Positions of unmatched keys are meaningless.
+        """
+        if self.table is not None and fact_keys.dtype.kind == "i":
+            slot = fact_keys - self.lo
+            inside = (slot >= 0) & (slot < len(self.table))
+            pos = self.table[np.where(inside, slot, 0)]
+            return inside & (pos >= 0), pos
         if len(self.sorted_keys) == 0:
-            return np.zeros(len(fact_keys), dtype=bool), idx
-        matched = self.sorted_keys[idx] == fact_keys
-        return matched, self.order[idx]
+            return np.zeros(len(fact_keys), dtype=bool), np.zeros(len(fact_keys), dtype=np.int64)
+        uniq, inverse = np.unique(fact_keys, return_inverse=True)
+        idx = np.minimum(np.searchsorted(self.sorted_keys, uniq), len(self.sorted_keys) - 1)
+        matched = self.sorted_keys[idx] == uniq
+        return matched[inverse], self.first[idx][inverse]
+
+
+def _group_sums(code, values, groups):
+    """Per-group sums: float columns through bincount, integer columns
+    exactly in int64, so integer results stay Python ints."""
+    if values.dtype.kind == "f":
+        return np.bincount(code, weights=values, minlength=groups).tolist()
+    sums = np.zeros(groups, dtype=np.int64)
+    np.add.at(sums, code, values)
+    return sums.tolist()
+
+
+def _groupby_block(plan, arrays):
+    """{key tuple: aggregate partials} for one block's surviving rows.
+
+    Each key column gets dense codes from np.unique; several keys
+    combine code by code, re-densified after each, so a combined code
+    stays below rows squared. Every aggregate is then one array
+    operation over all groups.
+    """
+    keys = [arrays[k] for k in plan.groupby_keys]
+    if len(keys[0]) == 0:
+        return {}
+    _, first, code = np.unique(keys[0], return_index=True, return_inverse=True)
+    for key in keys[1:]:
+        uniq, inverse = np.unique(key, return_inverse=True)
+        _, first, code = np.unique(code * len(uniq) + inverse,
+                                   return_index=True, return_inverse=True)
+    groups = len(first)
+    counts = np.bincount(code, minlength=groups).tolist()
+    per_agg = []
+    for col, op in plan.aggregates:
+        values = arrays[col]
+        if op == "count":
+            per_agg.append(counts)
+        elif op == "min":
+            mins = values[first]
+            np.minimum.at(mins, code, values)
+            per_agg.append(mins.tolist())
+        elif op == "sum":
+            per_agg.append(_group_sums(code, values, groups))
+        else:   # avg carries (sum, count) until finalize
+            per_agg.append(list(zip(_group_sums(code, values, groups), counts)))
+    group_keys = zip(*(key[first].tolist() for key in keys))
+    return dict(zip(group_keys, zip(*per_agg)))
 
 
 def _eval_block(plan, path_plan, olap, frozen, start, stop, dim):
@@ -438,23 +514,7 @@ def _eval_block(plan, path_plan, olap, frozen, start, stop, dim):
     # scan-filter-groupby
     if mask is not None:
         arrays = {c: v[mask] for c, v in arrays.items()}
-    keys = [arrays[k] for k in plan.groupby_keys]
-    groups = {}
-    if len(keys) == 1:
-        uniq, inverse = np.unique(keys[0], return_inverse=True)
-        for gi, key in enumerate(uniq):
-            rows = inverse == gi
-            groups[(key.item(),)] = tuple(
-                _agg_partial(op, arrays[col][rows]) for col, op in plan.aggregates)
-    else:
-        key_rows = {}
-        for i, key in enumerate(zip(*keys)):
-            key_rows.setdefault(tuple(v.item() for v in key), []).append(i)
-        for key, rows in key_rows.items():
-            rows = np.asarray(rows)
-            groups[key] = tuple(
-                _agg_partial(op, arrays[col][rows]) for col, op in plan.aggregates)
-    return groups
+    return _groupby_block(plan, arrays)
 
 
 def _merge_partials(plan, partials):
@@ -527,11 +587,11 @@ def execute(plan, path_plan, olap, frozen, worker_count=None, topology=None):
 
     results = [None] * len(spans)
     failures = []
+    dim = (_DimSide(plan, path_plan, olap, frozen)
+           if plan.shape == "fact-dimension-join" else None)
 
     def run(worker_socket):
         try:
-            dim = (_DimSide(plan, path_plan, olap, frozen)
-                   if plan.shape == "fact-dimension-join" else None)
             while True:
                 item = queue.pop(worker_socket)
                 if item is None:

@@ -93,6 +93,18 @@ class ChunkedColumn:
             self.chunks[ci][off:off + take] = values[taken:taken + take]
             taken += take
 
+    def copy_rows_from(self, src, rows):
+        """Copy the cells of the given rows from a column of the same shape.
+
+        One fancy-index assignment per chunk touched; rows is any
+        iterable of row ids, in any order.
+        """
+        rows = np.fromiter(rows, dtype=np.int64)
+        chunk_ids = rows // CHUNK_ROWS
+        for ci in np.unique(chunk_ids).tolist():
+            offsets = rows[chunk_ids == ci] - ci * CHUNK_ROWS
+            self.chunks[ci][offsets] = src.chunks[ci][offsets]
+
     def blocks(self, start, stop):
         """Yield (row_offset, array view) pieces covering [start, stop)."""
         row = start
@@ -129,7 +141,8 @@ class UpdateBitmap:
     Single-byte loads and stores are indivisible under the interpreter
     lock, so set/test/clear never observe torn state; only growth takes
     a lock. A whole byte per row is deliberate: packed bits would need
-    read-modify-write on shared bytes.
+    read-modify-write on shared bytes, and a byte array is what numpy
+    scans for the set flags in one pass.
     """
 
     def __init__(self, reserve=0):
@@ -152,12 +165,17 @@ class UpdateBitmap:
         return bool(self._flags[row_id])
 
     def set_rows(self, limit=None):
-        """Row ids with the flag set, ascending, scanned up to limit."""
+        """Row ids with the flag set, ascending, scanned up to limit.
+
+        Scans a bytes copy of the flags: while a buffer view of the live
+        bytearray exists, growing it raises BufferError, and a commit may
+        grow it at any moment.
+        """
         n = len(self._flags)
         if limit is not None:
             n = min(n, limit)
-        flags = self._flags
-        return [i for i in range(n) if flags[i]]
+        flags = np.frombuffer(bytes(self._flags), dtype=np.uint8, count=n)
+        return np.flatnonzero(flags).tolist()
 
 
 @dataclass
@@ -393,6 +411,22 @@ class TwinStore:
 
     # -- OLTP write path ---------------------------------------------------
 
+    def check_insert(self, row):
+        """Validate a row's arity; returns its primary key."""
+        if len(row) != len(self.schema):
+            raise SchemaError("row arity %d != schema arity %d" % (len(row), len(self.schema)))
+        return row[self._key_pos]
+
+    def check_update(self, row_id, column_deltas):
+        """Validate an update's row id and column names."""
+        if not (0 <= row_id < self.committed_rows):
+            raise StorageError("unknown row_id %d in table %r" % (row_id, self.name))
+        for n in column_deltas:
+            if n not in self._live_dirty:
+                raise SchemaError("unknown column %r in table %r" % (n, self.name))
+            if n == self.key_column:
+                raise SchemaError("primary key column is immutable")
+
     def insert_committed(self, row):
         """Append a committed row to both instances; returns its row id.
 
@@ -400,9 +434,7 @@ class TwinStore:
         inactive copy until the next switch. Pure inserts set no update
         bit; their freshness travels in the committed-count watermark.
         """
-        if len(row) != len(self.schema):
-            raise SchemaError("row arity %d != schema arity %d" % (len(row), len(self.schema)))
-        key = row[self._key_pos]
+        key = self.check_insert(row)
         with self.gate.commit_section():
             with self._append_mu:
                 if key in self.index:
@@ -428,13 +460,7 @@ class TwinStore:
         holds a mixed-version row. Prior values go to the version chain,
         the update bit is set, and the index is retargeted.
         """
-        if not (0 <= row_id < self.committed_rows):
-            raise StorageError("unknown row_id %d in table %r" % (row_id, self.name))
-        for n in column_deltas:
-            if n not in self._live_dirty:
-                raise SchemaError("unknown column %r in table %r" % (n, self.name))
-            if n == self.key_column:
-                raise SchemaError("primary key column is immutable")
+        self.check_update(row_id, column_deltas)
         with self.gate.commit_section():
             with self.stripe(row_id):
                 active = self.instances[self.active]
@@ -513,8 +539,14 @@ class TwinStore:
         return self._sealed_dirty[column]
 
     def live_dirty_rows(self, column):
-        """Rows of a column updated since the last switch. Not extractable yet."""
-        return self._live_dirty[column]
+        """Copy of the rows of a column updated since the last switch.
+
+        Not extractable yet. A copy because committing writers add to the
+        live set while readers hold no lock: a set is copied in one step
+        under the interpreter lock, while a Python loop over the live set
+        can see it change size and fail.
+        """
+        return self._live_dirty[column].copy()
 
     def consume_sealed_dirty(self, column, rows):
         self._sealed_dirty[column] -= rows
@@ -573,9 +605,7 @@ def switch_tables(stores):
                 active = st.instances[st.active]
                 for col, rows in st._live_dirty.items():
                     if rows:
-                        src, dst = active.columns[col], inact.columns[col]
-                        for row in rows:
-                            dst.write(row, src.read(row))
+                        inact.columns[col].copy_rows_from(active.columns[col], rows)
                 inact.committed_count = count
                 handle = FrozenSnapshot(inact, count, st.epoch, st.schema)
                 st.current_frozen = handle

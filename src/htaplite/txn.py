@@ -15,6 +15,8 @@ import threading
 import time
 from dataclasses import dataclass, field
 
+from .storage import KeyCollisionError
+
 # stock primary keys are warehouse * span + item, so item ids must stay below this
 STOCK_KEY_SPAN = 1_000_000
 
@@ -99,22 +101,49 @@ class TransactionManager:
     def commit(self, ctx):
         """Apply the buffered write set atomically and release everything.
 
-        Key uniqueness of buffered inserts is the workload generator's
-        contract; a collision here is a driver bug and propagates.
+        The whole write set is checked before any of it is applied: a
+        bad row (wrong arity, unknown row id or column, insert key already
+        in the table or repeated in the set) raises with nothing applied
+        and the transaction aborted. Two transactions inserting the same
+        new key at once both pass the check; unique new keys remain the
+        workload generator's contract. Locks and the epoch pin are
+        released however the commit ends, so a failed commit cannot
+        block a switch.
         """
-        with self.db.gate.commit_section():
-            ts = next(self._commit_ids)
-            for op in ctx.write_set:
-                if op[0] == "insert":
-                    _, store, row = op
-                    store.insert_committed(row)
-                else:
-                    _, store, row_id, deltas = op
-                    store.update_committed(row_id, deltas, commit_ts=ts)
-            self._last_commit_ts = ts
-        ctx.status = "committed"
-        self._finish(ctx)
-        return ts
+        try:
+            with self.db.gate.commit_section():
+                self._check_write_set(ctx.write_set)
+                ts = next(self._commit_ids)
+                for op in ctx.write_set:
+                    if op[0] == "insert":
+                        _, store, row = op
+                        store.insert_committed(row)
+                    else:
+                        _, store, row_id, deltas = op
+                        store.update_committed(row_id, deltas, commit_ts=ts)
+                self._last_commit_ts = ts
+            ctx.status = "committed"
+            return ts
+        except BaseException:
+            ctx.status = "aborted"
+            ctx.write_set.clear()
+            raise
+        finally:
+            self._finish(ctx)
+
+    @staticmethod
+    def _check_write_set(write_set):
+        new_keys = set()
+        for op in write_set:
+            store = op[1]
+            if op[0] == "insert":
+                key = store.check_insert(op[2])
+                if key in store.index or (store.name, key) in new_keys:
+                    raise KeyCollisionError("duplicate key %r in table %r"
+                                            % (key, store.name))
+                new_keys.add((store.name, key))
+            else:
+                store.check_update(op[2], op[3])
 
     def abort(self, ctx):
         ctx.status = "aborted"

@@ -7,11 +7,13 @@ import numpy as np
 import pytest
 
 from htaplite.bench import TABLE_SCHEMAS, q1_plan, q6_plan, q19_plan
+import htaplite.olap as olap_module
 from htaplite.olap import (
     AccessPath,
     AccessPathPlan,
     EpochMismatchError,
     Join,
+    KeyLookup,
     KindMismatchError,
     OlapInstance,
     PlanError,
@@ -379,3 +381,118 @@ def test_update_after_stats_forces_replan_to_remote():
     out = execute(plan, replanned, olap, {"orderline": third})
     labels, want = reference_eval(plan, {"orderline": snapshot_rows(third)})
     assert results_match(out, labels, want)
+
+
+GROUPED_SCHEMA = [
+    ColumnSchema("k", "int64"),
+    ColumnSchema("g", "int64"),
+    ColumnSchema("tag", "str", 3),
+    ColumnSchema("q", "int64"),
+    ColumnSchema("amt", "float64"),
+    ColumnSchema("d", "date64"),
+]
+GROUPED_AGGREGATES = [("q", "sum"), ("amt", "sum"), ("q", "avg"), ("amt", "avg"),
+                      ("q", "min"), ("amt", "min"), ("d", "min"), ("tag", "count")]
+
+
+def grouped_rows(seed, n, groups):
+    rng = random.Random(seed)
+    rows = []
+    for k in range(n):
+        # rows 16..31 form one whole 16-row block the filter drops
+        d = 9_000 if 16 <= k < 32 else 7_000 + rng.randrange(60)
+        rows.append((k, rng.randrange(groups), rng.choice([b"ab", b"c", b"xyz"]),
+                     rng.randint(-5, 50), round(rng.uniform(-10, 90), 2), d))
+    return rows
+
+
+def reference_groupby(rows, keys, aggregates, d_max):
+    """Row-at-a-time group-by over plain tuples."""
+    names = [c.name for c in GROUPED_SCHEMA]
+    groups = {}
+    for row in rows:
+        rec = dict(zip(names, row))
+        if rec["d"] <= d_max:
+            groups.setdefault(tuple(rec[k] for k in keys), []).append(rec)
+    out = []
+    for key in sorted(groups):
+        vals = []
+        for col, op in aggregates:
+            column = [rec[col] for rec in groups[key]]
+            if op == "sum":
+                vals.append(sum(column))
+            elif op == "avg":
+                vals.append(sum(column) / len(column))
+            elif op == "min":
+                vals.append(min(column))
+            else:
+                vals.append(len(column))
+        out.append(key + tuple(vals))
+    return out
+
+
+@pytest.mark.parametrize("keys,groups", [
+    (("g",), 5),
+    (("tag", "g"), 4),
+    (("g", "tag"), 1),     # one g value: at most three groups
+    (("g",), 1),           # a single group
+])
+def test_groupby_matches_row_reference(monkeypatch, keys, groups):
+    monkeypatch.setattr(olap_module, "BLOCK_ROWS", 16)
+    rows = grouped_rows(len(keys) * 10 + groups, 150, groups)
+    db = Database()
+    t = db.create_table("t", GROUPED_SCHEMA)
+    for row in rows:
+        t.insert_committed(row)
+    frozen = {"t": db.switch_all()["t"][0]}
+    plan = QueryPlan(name="grouped", shape="scan-filter-groupby",
+                     scans=[("t", ["g", "tag", "q", "amt", "d"],
+                             Predicate(conditions=(("d", None, 8_000),)))],
+                     aggregates=GROUPED_AGGREGATES, groupby_keys=keys)
+    paths = all_remote(plan, {"t": (len(rows), len(rows))}, frozen["t"].epoch)
+    got = [execute(plan, paths, OlapInstance(), frozen, worker_count=w)
+           for w in (1, 3)]
+    assert got[0].rows == got[1].rows
+    want = reference_groupby(rows, keys, GROUPED_AGGREGATES, 8_000)
+    assert [r[:len(keys)] for r in got[0].rows] == [r[:len(keys)] for r in want]
+    for g_row, w_row in zip(got[0].rows, want):
+        for g, w in zip(g_row, w_row):
+            assert type(g) is type(w)
+            if isinstance(w, float):
+                assert g == pytest.approx(w, rel=1e-9)
+            else:
+                assert g == w
+
+
+def reference_lookup(dim_keys, fact_keys):
+    first = {}
+    for pos, key in enumerate(dim_keys):
+        first.setdefault(key, pos)
+    return [first.get(key) for key in fact_keys]
+
+
+@pytest.mark.parametrize("dim_keys", [
+    [3, 5, 7, 5, 4],                    # dense table, repeated dimension key
+    list(range(100, 140, 2)),           # dense table, half the slots empty
+    [10, 1_000_000, 5_000_000, 10],     # sparse: sorted-key search
+    [],                                 # empty dimension
+], ids=["dense", "dense-gaps", "sparse", "empty"])
+def test_key_lookup_matches_dict_reference(dim_keys):
+    rng = random.Random(len(dim_keys))
+    pool = dim_keys + [-7, 0, 1, 2, 6, 99, 141, 10 ** 7, 2 ** 40]
+    fact_keys = [rng.choice(pool) for _ in range(500)]   # repeats, misses, outside range
+    lookup = KeyLookup(np.array(dim_keys, dtype=np.int64))
+    matched, pos = lookup(np.array(fact_keys, dtype=np.int64))
+    want = reference_lookup(dim_keys, fact_keys)
+    assert matched.tolist() == [w is not None for w in want]
+    assert pos[matched].tolist() == [w for w in want if w is not None]
+
+
+def test_key_lookup_float_keys_take_sorted_search():
+    lookup = KeyLookup(np.array([1.5, 2.0, 7.25, 2.0]))
+    matched, pos = lookup(np.array([2.0, 2.5, 7.25, 1.5, 0.0]))
+    assert matched.tolist() == [True, False, True, True, False]
+    assert pos[matched].tolist() == [1, 2, 0]
+    matched, pos = KeyLookup(np.array([1, 2, 3]))(np.array([2.0, 2.5]))
+    assert matched.tolist() == [True, False]
+    assert pos[matched].tolist() == [1]

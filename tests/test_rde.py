@@ -1,5 +1,8 @@
 import itertools
 import random
+import sys
+import threading
+import time
 
 import pytest
 
@@ -388,3 +391,61 @@ def test_thousand_random_migrations_keep_ledger_valid():
         assert not (state.oltp_cpus & state.olap_cpus)
         if i % 97 == 0:
             t.insert_committed((t.committed_rows, i))
+
+
+class _AddsWhileIterated(set):
+    """A live dirty set that a committing writer adds to mid-iteration."""
+
+    def __iter__(self):
+        rows = super().__iter__()
+        yield next(rows)
+        self.add(-1 - len(self))    # a row id no set holds yet
+        yield from rows
+
+
+def test_freshness_reads_live_dirty_rows_through_a_copy():
+    db, t = two_col_db(100)
+    t.switch()
+    t.update_committed(3, {"v": 1})
+    t.update_committed(4, {"v": 2})
+    t._live_dirty["v"] = _AddsWhileIterated(t._live_dirty["v"])
+    olap = OlapInstance()
+    etl_delta(t, olap)
+    stats = compute_freshness_stats(t, olap)
+    assert stats.updated_rows("t", "v") == 2
+
+
+def test_freshness_under_concurrent_updates():
+    db, t = two_col_db(2_000)
+    olap = OlapInstance()
+    t.switch()
+    etl_delta(t, olap)
+    stop = threading.Event()
+    failures = []
+
+    def writer(seed):
+        rng = random.Random(seed)
+        while not stop.is_set():
+            t.update_committed(rng.randrange(2_000), {"v": rng.randrange(100)})
+
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    writers = [threading.Thread(target=writer, args=(i,)) for i in range(4)]
+    for w in writers:
+        w.start()
+    try:
+        deadline = time.monotonic() + 0.5
+        while time.monotonic() < deadline:
+            try:
+                stats = compute_freshness_stats(t, olap)
+            except RuntimeError as exc:
+                failures.append(exc)
+                break
+            assert 0 <= stats.updated_rows("t", "v") <= 2_000
+    finally:
+        stop.set()
+        for w in writers:
+            w.join(timeout=10)
+        sys.setswitchinterval(old_interval)
+    assert not any(w.is_alive() for w in writers)
+    assert failures == []

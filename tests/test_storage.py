@@ -7,12 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as hyp
 
 from htaplite.storage import (
+    CHUNK_ROWS,
+    ChunkedColumn,
     ColumnSchema,
     Database,
     KeyCollisionError,
     SchemaError,
     StorageError,
     TwinStore,
+    UpdateBitmap,
     switch_tables,
 )
 
@@ -489,3 +492,44 @@ class TestMultiTableSwitch:
         st2 = make_store()
         with pytest.raises(StorageError):
             switch_tables([st1, st2])
+
+
+class TestBitmapScan:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_set_rows_matches_loop_reference(self, seed):
+        rng = random.Random(seed)
+        n = rng.randrange(1, 3 * CHUNK_ROWS)
+        bm = UpdateBitmap(n)
+        for row in rng.sample(range(n), rng.randrange(0, n // 4 + 1)):
+            bm.set(row)
+        flags = [bm.test(i) for i in range(n)]
+        for limit in (None, 0, 1, n // 2, n, n + 10):
+            stop = n if limit is None else min(n, limit)
+            want = [i for i in range(stop) if flags[i]]
+            got = bm.set_rows(limit=limit)
+            assert got == want
+            assert all(type(r) is int for r in got)
+
+    def test_grow_after_scan(self):
+        bm = UpdateBitmap(10)
+        bm.set(3)
+        rows = bm.set_rows()
+        bm.grow_to(10_000)          # would raise BufferError on a held view
+        bm.set(9_999)
+        assert rows == [3]
+        assert bm.set_rows() == [3, 9_999]
+        assert bm.set_rows(limit=9_999) == [3]
+
+
+def test_copy_rows_from_matches_cell_copy():
+    rng = random.Random(5)
+    n = 3 * CHUNK_ROWS + 17
+    src = ChunkedColumn(np.dtype(np.float64), n)
+    src.write_range(0, np.arange(n, dtype=np.float64) + 0.5)
+    dst = ChunkedColumn(np.dtype(np.float64), n)
+    want = ChunkedColumn(np.dtype(np.float64), n)
+    rows = set(rng.sample(range(n), 300)) | {0, CHUNK_ROWS - 1, CHUNK_ROWS, n - 1}
+    for row in rows:
+        want.write(row, src.read(row))
+    dst.copy_rows_from(src, rows)
+    assert np.array_equal(dst.slice(0, n), want.slice(0, n))

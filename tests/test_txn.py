@@ -3,6 +3,7 @@ import threading
 import pytest
 
 from htaplite.bench import BenchConfig, build_database, load_initial_data
+from htaplite.storage import KeyCollisionError, SchemaError, StorageError
 from htaplite.txn import (
     NewOrderGenerator,
     NewOrderParams,
@@ -281,3 +282,65 @@ def test_generator_is_deterministic_and_bounded():
         assert 5 <= pa.order_line_count <= 15
         assert pa.warehouse_id in (0, 1, 2)
         assert len(set(pa.item_ids)) == len(pa.item_ids)
+
+
+def _bad_write_sets():
+    """A write set whose last operation is invalid, and the error it raises."""
+
+    def existing_key(db, mgr, ctx):
+        orders = db.table("orders")
+        mgr.buffer_insert(ctx, orders, orders.read_latest(next(iter(orders.index))))
+        return KeyCollisionError
+
+    def repeated_key(db, mgr, ctx):
+        mgr.buffer_insert(ctx, db.table("orders"), (1 << 46, 0, 7100, 1))
+        mgr.buffer_insert(ctx, db.table("orders"), (1 << 46, 0, 7101, 2))
+        return KeyCollisionError
+
+    def wrong_arity(db, mgr, ctx):
+        mgr.buffer_insert(ctx, db.table("orders"), (1 << 47, 0, 7100))
+        return SchemaError
+
+    def unknown_row(db, mgr, ctx):
+        stock = db.table("stock")
+        mgr.lock(ctx, stock, 10 ** 9)
+        mgr.buffer_update(ctx, stock, 10 ** 9, {"s_quantity": 1})
+        return StorageError
+
+    return [existing_key, repeated_key, wrong_arity, unknown_row]
+
+
+@pytest.mark.parametrize("bad", _bad_write_sets(), ids=lambda f: f.__name__)
+def test_failed_commit_applies_nothing_and_releases_everything(loaded, bad):
+    db, cfg, mgr = loaded
+    orders = db.table("orders")
+    stock = db.table("stock")
+    key = stock_key(0, 1)
+    row_id, _ = stock.index[key]
+    quantity = stock.read_latest(key)[1]
+    before_orders = orders.committed_rows
+
+    ctx = mgr.begin()
+    mgr.lock(ctx, stock, row_id)
+    mgr.buffer_update(ctx, stock, row_id, {"s_quantity": quantity - 5})
+    mgr.buffer_insert(ctx, orders, (1 << 45, 0, 7100, 1))
+    error = bad(db, mgr, ctx)
+    with pytest.raises(error):
+        mgr.commit(ctx)
+
+    assert orders.committed_rows == before_orders
+    assert orders.read_latest(1 << 45) is None
+    assert stock.read_latest(key)[1] == quantity
+    assert not stock.bitmap.test(row_id)
+    assert ctx.status == "aborted"
+    assert not ctx.locks_held
+
+    switcher = threading.Thread(target=db.switch_all, daemon=True)
+    switcher.start()
+    switcher.join(timeout=10)
+    assert not switcher.is_alive(), "switch_all blocked by a leaked epoch pin"
+
+    # the row lock is free again: a fresh transaction commits on the row
+    params = NewOrderParams(0, 1 << 44, 7100, [1], [2])
+    assert execute_new_order(mgr, mgr.begin(), params, db) == "commit"
+    assert stock.read_latest(key)[1] == quantity - 2
