@@ -10,11 +10,11 @@ instance. Three per-column access paths cover the cases:
 
 Execution is interpreted and vectorized over fixed-size blocks; there
 is no code generation. Within a block every step is an array
-operation: group-by codes rows with np.unique and aggregates every
-group at once, and the join looks fact keys up in a dimension table
-built once per query. Workers pull blocks from a locality-aware
-queue, and per-block partials are reduced in block order, so results
-are identical for any worker count.
+operation: group-by codes rows by key offset or with np.unique and
+aggregates every group at once, and the join looks fact keys up in a
+dimension table built once per query. Workers pull blocks from a
+locality-aware queue, and per-block partials are reduced in block
+order, so results are identical for any worker count.
 """
 
 import enum
@@ -27,7 +27,8 @@ import numpy as np
 from .storage import CHUNK_ROWS, ChunkedColumn
 
 BLOCK_ROWS = CHUNK_ROWS    # block == chunk keeps most reads zero-copy
-# a direct-address join table may hold at most this many slots per key
+# a direct-address join table, or a group-by coding by key offset, may
+# hold at most this many slots per key
 DENSE_SPAN_FACTOR = 4
 
 SHAPES = ("scan-filter-reduce", "scan-filter-groupby", "fact-dimension-join")
@@ -70,15 +71,19 @@ class Predicate:
         return [c for c, _, _ in self.conditions]
 
     def mask(self, arrays):
-        out = None
+        """Rows every condition keeps, or None when no bound is set."""
+        bounds = []
         for col, lo, hi in self.conditions:
             v = arrays[col]
-            m = np.ones(len(v), dtype=bool)
             if lo is not None:
-                m &= v >= lo
+                bounds.append(v >= lo)
             if hi is not None:
-                m &= v <= hi
-            out = m if out is None else (out & m)
+                bounds.append(v <= hi)
+        if not bounds:
+            return None
+        out = bounds[0]
+        for m in bounds[1:]:
+            out &= m
         return out
 
 
@@ -415,11 +420,14 @@ class KeyLookup:
         self.sorted_keys, self.first = np.unique(keys, return_index=True)
         self.table = None
         if len(keys) and keys.dtype.kind == "i":
-            self.lo = int(self.sorted_keys[0])
-            span = int(self.sorted_keys[-1]) - self.lo + 1
+            lo = int(self.sorted_keys[0])
+            span = int(self.sorted_keys[-1]) - lo + 1
             if span <= DENSE_SPAN_FACTOR * len(keys):
-                self.table = np.full(span, -1, dtype=np.int64)
-                self.table[self.sorted_keys - self.lo] = self.first
+                # key k sits at slot k - base; the first and last slots
+                # stay -1 and take every key outside the range, clipped
+                self.base = lo - 1
+                self.table = np.full(span + 2, -1, dtype=np.int64)
+                self.table[self.sorted_keys - self.base] = self.first
 
     def __call__(self, fact_keys):
         """Return (matched mask, dimension row positions) for a block of keys.
@@ -427,10 +435,8 @@ class KeyLookup:
         Positions of unmatched keys are meaningless.
         """
         if self.table is not None and fact_keys.dtype.kind == "i":
-            slot = fact_keys - self.lo
-            inside = (slot >= 0) & (slot < len(self.table))
-            pos = self.table[np.where(inside, slot, 0)]
-            return inside & (pos >= 0), pos
+            pos = self.table.take(fact_keys - self.base, mode="clip")
+            return pos >= 0, pos
         if len(self.sorted_keys) == 0:
             return np.zeros(len(fact_keys), dtype=bool), np.zeros(len(fact_keys), dtype=np.int64)
         uniq, inverse = np.unique(fact_keys, return_inverse=True)
@@ -449,23 +455,56 @@ def _group_sums(code, values, groups):
     return sums.tolist()
 
 
+def _key_codes(key):
+    """(code per row, value per code) for one group-by key column.
+
+    Codes follow key order. An integer key whose span is at most
+    DENSE_SPAN_FACTOR times its row count is coded as key - min, with
+    no sort; other keys are coded by np.unique. Dense codes may leave
+    slots unused, which _dense_groups drops.
+    """
+    if key.dtype.kind == "i":
+        lo, hi = int(key.min()), int(key.max())
+        if hi - lo + 1 <= DENSE_SPAN_FACTOR * len(key):
+            return key - lo, np.arange(lo, hi + 1, dtype=key.dtype)
+    uniq, code = np.unique(key, return_inverse=True)
+    return code, uniq
+
+
+def _dense_groups(code, slots):
+    """(used codes ascending, each row's rank among them) for codes in [0, slots)."""
+    if slots <= DENSE_SPAN_FACTOR * len(code):
+        present = np.zeros(slots, dtype=bool)
+        present[code] = True
+        rank = np.cumsum(present) - 1
+        return np.flatnonzero(present), rank[code]
+    return np.unique(code, return_inverse=True)
+
+
 def _groupby_block(plan, arrays):
     """{key tuple: aggregate partials} for one block's surviving rows.
 
-    Each key column gets dense codes from np.unique; several keys
-    combine code by code, re-densified after each, so a combined code
-    stays below rows squared. Every aggregate is then one array
-    operation over all groups.
+    Keys are coded one by one and combined into a group code, which is
+    made dense again after each key, so it stays below rows times the
+    next key's slots. Group codes follow key-tuple order and rows keep
+    their order, so every aggregate, one array operation over all
+    groups, adds in the same order whatever the coding.
     """
     keys = [arrays[k] for k in plan.groupby_keys]
-    if len(keys[0]) == 0:
+    n = len(keys[0])
+    if n == 0:
         return {}
-    _, first, code = np.unique(keys[0], return_index=True, return_inverse=True)
-    for key in keys[1:]:
-        uniq, inverse = np.unique(key, return_inverse=True)
-        _, first, code = np.unique(code * len(uniq) + inverse,
-                                   return_index=True, return_inverse=True)
-    groups = len(first)
+    code, groups = 0, 1
+    key_slots = []   # per key: each group's code in that key's coding
+    key_values = []
+    for key in keys:
+        codes, values = _key_codes(key)
+        code = code * len(values) + codes
+        used, code = _dense_groups(code, groups * len(values))
+        key_slots = [slots[used // len(values)] for slots in key_slots]
+        key_slots.append(used % len(values))
+        key_values.append(values)
+        groups = len(used)
     counts = np.bincount(code, minlength=groups).tolist()
     per_agg = []
     for col, op in plan.aggregates:
@@ -473,6 +512,8 @@ def _groupby_block(plan, arrays):
         if op == "count":
             per_agg.append(counts)
         elif op == "min":
+            first = np.full(groups, n, dtype=np.int64)
+            np.minimum.at(first, code, np.arange(n))
             mins = values[first]
             np.minimum.at(mins, code, values)
             per_agg.append(mins.tolist())
@@ -480,7 +521,7 @@ def _groupby_block(plan, arrays):
             per_agg.append(_group_sums(code, values, groups))
         else:   # avg carries (sum, count) until finalize
             per_agg.append(list(zip(_group_sums(code, values, groups), counts)))
-    group_keys = zip(*(key[first].tolist() for key in keys))
+    group_keys = zip(*(values[slots].tolist() for values, slots in zip(key_values, key_slots)))
     return dict(zip(group_keys, zip(*per_agg)))
 
 
@@ -494,12 +535,14 @@ def _eval_block(plan, path_plan, olap, frozen, start, stop, dim):
     if plan.shape == "fact-dimension-join":
         matched, dim_pos = dim.lookup(arrays[plan.join.fact_key])
         mask = matched if mask is None else (mask & matched)
-        picked = dim_pos[mask]
+        picked = None   # dimension rows of the kept fact rows, when needed
         out = []
         for col, op in plan.aggregates:
             if col in arrays:
                 values = arrays[col][mask]
             else:
+                if picked is None:
+                    picked = dim_pos[mask]
                 values = dim.arrays[col][picked]
             out.append(_agg_partial(op, values))
         return tuple(out)

@@ -81,7 +81,7 @@ class ChunkedColumn:
         self.chunks[row_id // CHUNK_ROWS][row_id % CHUNK_ROWS] = value
 
     def read(self, row_id):
-        return self.chunks[row_id // CHUNK_ROWS][row_id % CHUNK_ROWS].item()
+        return self.chunks[row_id // CHUNK_ROWS].item(row_id % CHUNK_ROWS)
 
     def write_range(self, start, values):
         """Bulk-assign values to rows [start, start+len)."""
@@ -346,6 +346,14 @@ class TwinStore:
     are only cleared by an extract step; they are sealed at each switch
     so that rows updated after the snapshot was cut are never mistaken
     for rows the snapshot already covers.
+
+    Writes come in two layers. `insert_committed` and `update_committed`
+    check one op, enter a commit section of the gate and apply it; an
+    insert also holds `append_lock` from its key check to the append.
+    `apply_insert` and `apply_update` are the same writes without the
+    check and the gate, for a caller that already holds a commit section
+    and has checked the op: a transaction commit checks its whole write
+    set once and applies it inside the one section it holds.
     """
 
     def __init__(self, schema, capacity_hint=0, key_column=None, name="table",
@@ -368,6 +376,9 @@ class TwinStore:
         self.gate = gate or SwitchGate()
         self.instances = (Instance(0, schema, capacity_hint),
                           Instance(1, schema, capacity_hint))
+        # each instance's columns in schema order, for whole-row access
+        self._row_columns = tuple(tuple(inst.columns[n] for n in names)
+                                  for inst in self.instances)
         self.active = 0
         self.epoch = 0
         self.committed_rows = 0
@@ -385,7 +396,9 @@ class TwinStore:
         self._col_updated = {n: False for n in names}
         self._updated_since_switch = False
 
-        self._append_mu = threading.Lock()
+        # held by every insert from its key check to its append, so a key
+        # found absent stays absent until the row lands
+        self.append_lock = threading.Lock()
         self._switch_mu = threading.Lock()
         self._stripes = tuple(threading.Lock() for _ in range(_STRIPES))
         self._commit_seq = 0
@@ -408,6 +421,12 @@ class TwinStore:
 
     def stripe(self, row_id):
         return self._stripes[row_id % _STRIPES]
+
+    def _copy_row(self, row_id, src):
+        """Copy every cell of a row from instance src onto the active one."""
+        ci, off = divmod(row_id, CHUNK_ROWS)
+        for dst_col, src_col in zip(self._row_columns[self.active], self._row_columns[src]):
+            dst_col.chunks[ci][off] = src_col.chunks[ci][off]
 
     # -- OLTP write path ---------------------------------------------------
 
@@ -435,20 +454,30 @@ class TwinStore:
         bit; their freshness travels in the committed-count watermark.
         """
         key = self.check_insert(row)
-        with self.gate.commit_section():
-            with self._append_mu:
-                if key in self.index:
-                    raise KeyCollisionError("duplicate key %r in table %r" % (key, self.name))
-                row_id = self.committed_rows
-                need = row_id + 1
-                for inst in self.instances:
-                    for col, value in zip(self.schema, row):
-                        arr = inst.columns[col.name]
-                        arr.ensure(need)
-                        arr.write(row_id, value)
-                self.bitmap.grow_to(need)
-                self.index[key] = (row_id, self.active)
-                self.committed_rows = need
+        with self.gate.commit_section(), self.append_lock:
+            if key in self.index:
+                raise KeyCollisionError("duplicate key %r in table %r" % (key, self.name))
+            return self.apply_insert(row)
+
+    def apply_insert(self, row):
+        """insert_committed without its check, gate and lock.
+
+        The caller holds a commit section and `append_lock`, and has
+        checked the row's arity and that its key is not in the index.
+        """
+        row_id = self.committed_rows
+        ci, off = divmod(row_id, CHUNK_ROWS)
+        need = row_id + 1
+        if off == 0:    # the row opens a chunk, which may not exist yet
+            for columns in self._row_columns:
+                for col in columns:
+                    col.ensure(need)
+            self.bitmap.grow_to((ci + 1) * CHUNK_ROWS)
+        for columns in self._row_columns:
+            for col, value in zip(columns, row):
+                col.chunks[ci][off] = value
+        self.index[row[self._key_pos]] = (row_id, self.active)
+        self.committed_rows = need
         return row_id
 
     def update_committed(self, row_id, column_deltas, commit_ts=None):
@@ -462,31 +491,40 @@ class TwinStore:
         """
         self.check_update(row_id, column_deltas)
         with self.gate.commit_section():
-            with self.stripe(row_id):
-                active = self.instances[self.active]
-                key = active.columns[self.key_column].read(row_id)
-                _, tag = self.index[key]
-                if tag != self.active:
-                    src = self.instances[tag]
-                    for c in self.schema:
-                        active.columns[c.name].write(row_id, src.columns[c.name].read(row_id))
-                if commit_ts is None:
-                    self._commit_seq += 1
-                    commit_ts = self._commit_seq
-                prior = {}
-                for n, value in column_deltas.items():
-                    prior[n] = active.columns[n].read(row_id)
-                    active.columns[n].write(row_id, value)
-                chain = self.deltas.setdefault(row_id, [])
-                chain.insert(0, DeltaVersion(row_id, prior, commit_ts))
-                if self.delta_retention is not None and len(chain) > self.delta_retention:
-                    del chain[self.delta_retention:]
-                self.bitmap.set(row_id)
-                for n in column_deltas:
-                    self._col_updated[n] = True
-                    self._live_dirty[n].add(row_id)
-                self._updated_since_switch = True
-                self.index[key] = (row_id, self.active)
+            self.apply_update(row_id, column_deltas, commit_ts)
+
+    def apply_update(self, row_id, column_deltas, commit_ts=None):
+        """update_committed without its check and gate.
+
+        The caller holds a commit section, so the active copy cannot
+        flip, and has checked the row id and columns. Takes the row's
+        stripe lock.
+        """
+        ci, off = divmod(row_id, CHUNK_ROWS)
+        with self._stripes[row_id % _STRIPES]:
+            columns = self.instances[self.active].columns
+            key = columns[self.key_column].chunks[ci].item(off)
+            _, tag = self.index[key]
+            if tag != self.active:
+                self._copy_row(row_id, tag)
+            if commit_ts is None:
+                self._commit_seq += 1
+                commit_ts = self._commit_seq
+            prior = {}
+            for n, value in column_deltas.items():
+                chunk = columns[n].chunks[ci]
+                prior[n] = chunk.item(off)
+                chunk[off] = value
+            chain = self.deltas.setdefault(row_id, [])
+            chain.insert(0, DeltaVersion(row_id, prior, commit_ts))
+            if self.delta_retention is not None and len(chain) > self.delta_retention:
+                del chain[self.delta_retention:]
+            self.bitmap.set(row_id)
+            for n in column_deltas:
+                self._col_updated[n] = True
+                self._live_dirty[n].add(row_id)
+            self._updated_since_switch = True
+            self.index[key] = (row_id, self.active)
 
     # -- OLTP read path ----------------------------------------------------
 
@@ -496,10 +534,10 @@ class TwinStore:
         if hit is None:
             return None
         row_id, _ = hit
-        with self.stripe(row_id):
+        with self._stripes[row_id % _STRIPES]:
             row_id, tag = self.index[key]
-            inst = self.instances[tag]
-            return tuple(inst.columns[c.name].read(row_id) for c in self.schema)
+            ci, off = divmod(row_id, CHUNK_ROWS)
+            return tuple([col.chunks[ci].item(off) for col in self._row_columns[tag]])
 
     # -- switch protocol ---------------------------------------------------
 
@@ -526,9 +564,7 @@ class TwinStore:
             _, tag = self.index[key]
             if tag == self.active:
                 return False
-            newest = self.instances[tag]
-            for c in self.schema:
-                active.columns[c.name].write(row_id, newest.columns[c.name].read(row_id))
+            self._copy_row(row_id, tag)
             self.bitmap.clear(row_id)
             return True
 

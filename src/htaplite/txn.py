@@ -13,7 +13,9 @@ import itertools
 import random
 import threading
 import time
+from contextlib import ExitStack
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from .storage import KeyCollisionError
 
@@ -101,26 +103,32 @@ class TransactionManager:
     def commit(self, ctx):
         """Apply the buffered write set atomically and release everything.
 
-        The whole write set is checked before any of it is applied: a
-        bad row (wrong arity, unknown row id or column, insert key already
-        in the table or repeated in the set) raises with nothing applied
-        and the transaction aborted. Two transactions inserting the same
-        new key at once both pass the check; unique new keys remain the
-        workload generator's contract. Locks and the epoch pin are
-        released however the commit ends, so a failed commit cannot
-        block a switch.
+        The whole write set is checked once, before any of it is applied:
+        a bad row (wrong arity, unknown row id or column, insert key
+        already in the table or repeated in the set) raises with nothing
+        applied and the transaction aborted. The commit holds one commit
+        section of the gate and, taken in table-ordinal order, the append
+        lock of every table it inserts into, from the check through the
+        last insert; so of two transactions inserting the same new key,
+        the second fails the check. Inside, the ops go to the stores'
+        apply methods, which neither check again nor re-enter the gate.
+        Locks and the epoch pin are released however the commit ends, so
+        a failed commit cannot block a switch.
         """
+        write_set = ctx.write_set
+        appending = sorted({op[1] for op in write_set if op[0] == "insert"},
+                           key=attrgetter("ordinal"))
         try:
-            with self.db.gate.commit_section():
-                self._check_write_set(ctx.write_set)
+            with self.db.gate.commit_section(), ExitStack() as held:
+                for store in appending:
+                    held.enter_context(store.append_lock)
+                self._check_write_set(write_set)
                 ts = next(self._commit_ids)
-                for op in ctx.write_set:
+                for op in write_set:
                     if op[0] == "insert":
-                        _, store, row = op
-                        store.insert_committed(row)
+                        op[1].apply_insert(op[2])
                     else:
-                        _, store, row_id, deltas = op
-                        store.update_committed(row_id, deltas, commit_ts=ts)
+                        op[1].apply_update(op[2], op[3], ts)
                 self._last_commit_ts = ts
             ctx.status = "committed"
             return ts
@@ -267,6 +275,12 @@ class _Worker(threading.Thread):
         self.stop_flag = False
 
     def run(self):
+        try:
+            self._run()
+        except Exception as exc:
+            self.pool._record_failure(exc)
+
+    def _run(self):
         pool = self.pool
         gen = NewOrderGenerator(pool.seed, self.worker_id, pool.warehouses, pool.items)
         while not self.stop_flag:
@@ -285,7 +299,11 @@ class _Worker(threading.Thread):
 
 
 class WorkerPool:
-    """Elastic set of OLTP workers, one per granted CPU."""
+    """Elastic set of OLTP workers, one per granted CPU.
+
+    A worker that raises stops; the pool keeps the first such exception
+    and re-raises it from wait_budget_done and stop_all.
+    """
 
     def __init__(self, mgr, db, seed=0, warehouses=1, items=100,
                  txn_budget=None, on_commit=None):
@@ -302,6 +320,8 @@ class WorkerPool:
         self._next_worker_id = itertools.count()
         self._control = threading.Lock()
         self._started = time.monotonic()
+        self._failure = None
+        self._failure_mu = threading.Lock()
 
     @property
     def active_count(self):
@@ -335,14 +355,29 @@ class WorkerPool:
     def throughput_snapshot(self):
         return self.committed_count(), time.monotonic() - self._started
 
+    def _record_failure(self, exc):
+        with self._failure_mu:
+            if self._failure is None:
+                self._failure = exc
+
+    def _raise_failure(self):
+        if self._failure is not None:
+            raise self._failure
+
     def wait_budget_done(self, timeout=None):
-        """Join workers that run on a fixed transaction budget."""
+        """Join workers that run on a fixed transaction budget.
+
+        Returns whether every worker has ended; raises the first
+        exception a worker died of.
+        """
         deadline = None if timeout is None else time.monotonic() + timeout
         for w in list(self._workers.values()):
             w.join(None if deadline is None else max(0.0, deadline - time.monotonic()))
+        self._raise_failure()
         return all(not w.is_alive() for w in self._workers.values())
 
     def stop_all(self):
+        """Stop and join every worker; raises the first exception a worker died of."""
         with self._control:
             for cpu in list(self._workers):
                 w = self._workers.pop(cpu)
@@ -350,3 +385,4 @@ class WorkerPool:
                 w.join()
                 self._retired_committed += w.committed
                 self._retired_aborted += w.aborted
+        self._raise_failure()

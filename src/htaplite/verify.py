@@ -460,9 +460,11 @@ def _check_snapshot_isolation(cfg, faults):
             _assert_atomic_orders(handles)
             scans += 1
     finally:
-        pool.wait_budget_done()
-        committed = pool.committed_count()
-        pool.stop_all()
+        try:
+            pool.wait_budget_done()
+        finally:
+            committed = pool.committed_count()
+            pool.stop_all()
     _ensure(committed == 4 * budget_per_worker,
             "worker budget not exhausted: %d of %d commits",
             committed, 4 * budget_per_worker)

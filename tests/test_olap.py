@@ -390,6 +390,8 @@ GROUPED_SCHEMA = [
     ColumnSchema("q", "int64"),
     ColumnSchema("amt", "float64"),
     ColumnSchema("d", "date64"),
+    ColumnSchema("s", "int64"),
+    ColumnSchema("n", "int64"),
 ]
 GROUPED_AGGREGATES = [("q", "sum"), ("amt", "sum"), ("q", "avg"), ("amt", "avg"),
                       ("q", "min"), ("amt", "min"), ("d", "min"), ("tag", "count")]
@@ -401,8 +403,11 @@ def grouped_rows(seed, n, groups):
     for k in range(n):
         # rows 16..31 form one whole 16-row block the filter drops
         d = 9_000 if 16 <= k < 32 else 7_000 + rng.randrange(60)
-        rows.append((k, rng.randrange(groups), rng.choice([b"ab", b"c", b"xyz"]),
-                     rng.randint(-5, 50), round(rng.uniform(-10, 90), 2), d))
+        g = rng.randrange(groups)
+        rows.append((k, g, rng.choice([b"ab", b"c", b"xyz"]),
+                     rng.randint(-5, 50), round(rng.uniform(-10, 90), 2), d,
+                     (g - 1) * 10 ** 12,    # sparse: coded with np.unique
+                     -3 - 2 * g))           # negative, dense with gaps
     return rows
 
 
@@ -436,6 +441,8 @@ def reference_groupby(rows, keys, aggregates, d_max):
     (("tag", "g"), 4),
     (("g", "tag"), 1),     # one g value: at most three groups
     (("g",), 1),           # a single group
+    (("s",), 5),           # sparse integer key
+    (("n", "tag"), 4),     # negative integer key
 ])
 def test_groupby_matches_row_reference(monkeypatch, keys, groups):
     monkeypatch.setattr(olap_module, "BLOCK_ROWS", 16)
@@ -446,7 +453,7 @@ def test_groupby_matches_row_reference(monkeypatch, keys, groups):
         t.insert_committed(row)
     frozen = {"t": db.switch_all()["t"][0]}
     plan = QueryPlan(name="grouped", shape="scan-filter-groupby",
-                     scans=[("t", ["g", "tag", "q", "amt", "d"],
+                     scans=[("t", ["g", "tag", "q", "amt", "d", "s", "n"],
                              Predicate(conditions=(("d", None, 8_000),)))],
                      aggregates=GROUPED_AGGREGATES, groupby_keys=keys)
     paths = all_remote(plan, {"t": (len(rows), len(rows))}, frozen["t"].epoch)

@@ -3,7 +3,14 @@ import threading
 import pytest
 
 from htaplite.bench import BenchConfig, build_database, load_initial_data
-from htaplite.storage import KeyCollisionError, SchemaError, StorageError
+from htaplite.storage import (
+    CHUNK_ROWS,
+    ColumnSchema,
+    Database,
+    KeyCollisionError,
+    SchemaError,
+    StorageError,
+)
 from htaplite.txn import (
     NewOrderGenerator,
     NewOrderParams,
@@ -206,6 +213,24 @@ class TestWorkerPool:
         pool.stop_all()
 
 
+    def test_worker_exception_is_raised_not_lost(self, loaded):
+        db, cfg, mgr = loaded
+        # items beyond the loaded stock: the first NewOrder that picks one
+        # raises UnknownItemError in its worker thread
+        pool = WorkerPool(mgr, db, seed=cfg.seed, warehouses=cfg.warehouses,
+                          items=cfg.items * 1000, txn_budget=25)
+        pool.set_worker_count([0, 1])
+        with pytest.raises(UnknownItemError):
+            pool.wait_budget_done(timeout=30)
+        with pytest.raises(UnknownItemError):
+            pool.stop_all()
+        assert pool.active_count == 0
+        switcher = threading.Thread(target=db.switch_all, daemon=True)
+        switcher.start()
+        switcher.join(timeout=10)
+        assert not switcher.is_alive(), "switch_all blocked by a dead worker's pin"
+
+
 class TestInvariants:
     def test_quantity_conservation_exact(self, loaded):
         db, cfg, mgr = loaded
@@ -344,3 +369,146 @@ def test_failed_commit_applies_nothing_and_releases_everything(loaded, bad):
     params = NewOrderParams(0, 1 << 44, 7100, [1], [2])
     assert execute_new_order(mgr, mgr.begin(), params, db) == "commit"
     assert stock.read_latest(key)[1] == quantity - 2
+
+
+def test_concurrent_inserts_of_one_new_key_land_once(loaded, monkeypatch):
+    """Two transactions insert the same new key at once.
+
+    The first pauses right after its write-set check, for at most a
+    second, and the second commits during that pause if it can. Exactly
+    one must land whole; the other fails its check with nothing applied.
+    """
+    db, cfg, mgr = loaded
+    orders = db.table("orders")
+    before = orders.committed_rows
+    shared = 1 << 46
+    rows = {
+        "first": [(1 << 45, 0, 7100, 1), (shared, 0, 7100, 2)],
+        "second": [(shared, 1, 7101, 3), (1 << 47, 1, 7101, 4)],
+    }
+    first_checked = threading.Event()
+    second_done = threading.Event()
+    check = mgr._check_write_set
+
+    def pausing_check(write_set):
+        check(write_set)
+        if not first_checked.is_set():
+            first_checked.set()
+            second_done.wait(timeout=1.0)
+
+    monkeypatch.setattr(mgr, "_check_write_set", pausing_check)
+    outcome = {}
+
+    def commit(name):
+        try:
+            ctx = mgr.begin()
+            for row in rows[name]:
+                mgr.buffer_insert(ctx, orders, row)
+            mgr.commit(ctx)
+            outcome[name] = "committed"
+        except KeyCollisionError:
+            outcome[name] = "collision"
+        finally:
+            if name == "second":
+                second_done.set()
+
+    def second():
+        assert first_checked.wait(timeout=10)
+        commit("second")
+
+    threads = [threading.Thread(target=commit, args=("first",), daemon=True),
+               threading.Thread(target=second, daemon=True)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=10)
+        assert not t.is_alive()
+
+    assert sorted(outcome.values()) == ["collision", "committed"]
+    winner = next(name for name, result in outcome.items() if result == "committed")
+    loser = "second" if winner == "first" else "first"
+    assert orders.committed_rows == before + len(rows[winner])
+    for row in rows[winner]:
+        assert orders.read_latest(row[0]) == row
+    for row in rows[loser]:
+        if row[0] != shared:
+            assert orders.read_latest(row[0]) is None
+
+    switcher = threading.Thread(target=db.switch_all, daemon=True)
+    switcher.start()
+    switcher.join(timeout=10)
+    assert not switcher.is_alive(), "switch_all blocked after the collision"
+
+
+CHUNK_SCHEMA = [
+    ColumnSchema("k", "int64"),
+    ColumnSchema("qty", "int64"),
+    ColumnSchema("tag", "str", 4),
+    ColumnSchema("amt", "float64"),
+]
+
+
+def _new_row(k):
+    return (k * 7, k % 50, b"t%d" % (k % 1000), k / 4)
+
+
+def test_commit_across_chunk_boundaries_matches_single_ops():
+    """Write sets whose inserts straddle chunk boundaries, and updates that
+    are the first touch of a row after a switch, committed through the
+    transaction manager; the same ops applied one at a time through
+    insert_committed / update_committed give the reference."""
+    committed, single = Database(), Database()
+    table = committed.create_table("t", CHUNK_SCHEMA)
+    ref = single.create_table("t", CHUNK_SCHEMA)
+    mgr = TransactionManager(committed)
+    model = {}     # key -> newest row
+    next_row = 0
+
+    def write_set(updates, inserts):
+        nonlocal next_row
+        ctx = mgr.begin()
+        for row_id, deltas in sorted(updates):
+            mgr.lock(ctx, table, row_id)
+            mgr.buffer_update(ctx, table, row_id, deltas)
+        new_rows = [_new_row(k) for k in range(next_row, next_row + inserts)]
+        for row in new_rows:
+            mgr.buffer_insert(ctx, table, row)
+        mgr.commit(ctx)
+        for row_id, deltas in sorted(updates):
+            ref.update_committed(row_id, deltas)
+            key = row_id * 7
+            model[key] = tuple(deltas.get(c.name, v) for c, v in zip(CHUNK_SCHEMA, model[key]))
+        for row in new_rows:
+            ref.insert_committed(row)
+            model[row[0]] = row
+        next_row += inserts
+
+    def check():
+        n = len(model)
+        assert table.committed_rows == ref.committed_rows == n
+        for inst, ref_inst in zip(table.instances, ref.instances):
+            for c in CHUNK_SCHEMA:
+                assert (inst.columns[c.name].slice(0, n).tolist()
+                        == ref_inst.columns[c.name].slice(0, n).tolist())
+        for key, row in model.items():
+            assert table.read_latest(key) == row
+            assert ref.read_latest(key) == row
+        assert table.index == ref.index
+        assert table.bitmap.set_rows() == ref.bitmap.set_rows()
+        assert ({r: [d.column_values for d in chain] for r, chain in table.deltas.items()}
+                == {r: [d.column_values for d in chain] for r, chain in ref.deltas.items()})
+
+    for _ in range(10):
+        write_set([], 409)                            # rows 0..4089
+    write_set([(5, {"qty": 1, "tag": b"up"}), (4089, {"amt": -1.5})], 3)
+    committed.switch_all()
+    single.switch_all()
+    # first touches after the switch pull rows 5 and 4089 across; the
+    # inserts run from 4093 over the chunk boundary to 4100
+    write_set([(5, {"qty": 2}), (4089, {"tag": b"new"}), (70, {"amt": 0.25})], 8)
+    check()
+    write_set([(4094, {"qty": 9, "tag": b"x"}), (CHUNK_ROWS, {"tag": b"y"})], 5)
+    committed.switch_all()
+    single.switch_all()
+    write_set([(CHUNK_ROWS + 1, {"amt": 2.5}), (4094, {"qty": 3})], 1)
+    check()
