@@ -9,7 +9,10 @@ traffic writes 5 to 15.
 """
 
 import random
+from array import array
 from dataclasses import dataclass
+
+import numpy as np
 
 from .olap import Join, Predicate, QueryPlan
 from .storage import ColumnSchema, Database
@@ -75,40 +78,46 @@ def build_database(cfg):
 
 
 def load_initial_data(db, cfg):
-    """Populate all five tables deterministically from cfg.seed."""
+    """Populate all five tables deterministically from cfg.seed.
+
+    Draws the random values in row order into one typed buffer per
+    column, then appends each table with one bulk load.
+    """
     rng = random.Random(cfg.seed)
-    warehouse = db.table("warehouse")
-    item = db.table("item")
-    stock = db.table("stock")
-    orders = db.table("orders")
-    orderline = db.table("orderline")
+    warehouses, items, orders = cfg.warehouses, cfg.items, cfg.initial_orders
+    prices = array("d", [round(rng.uniform(1.0, 100.0), 2) for _ in range(items)])
 
-    for w in range(cfg.warehouses):
-        warehouse.insert_committed((w,))
-    for i in range(cfg.items):
-        item.insert_committed((i, round(rng.uniform(1.0, 100.0), 2)))
-    for w in range(cfg.warehouses):
-        for i in range(cfg.items):
-            stock.insert_committed((stock_key(w, i), INITIAL_STOCK_QUANTITY))
-
-    for seq in range(cfg.initial_orders):
-        o_id = INITIAL_ORDER_BASE + seq
-        w = seq % cfg.warehouses
+    item_ids, quantities = array("q"), array("q")
+    amounts, delivery = array("d"), array("q")
+    randrange, randint = rng.randrange, rng.randint
+    for seq in range(orders):
         entry_d = 7000 + seq % 365
-        orders.insert_committed((o_id, w, entry_d, INITIAL_LOAD_LINES_PER_ORDER))
-        for number in range(1, INITIAL_LOAD_LINES_PER_ORDER + 1):
-            item_id = rng.randrange(cfg.items)
-            qty = rng.randint(1, 10)
-            price = item.read_latest(item_id)[1]
-            orderline.insert_committed((
-                o_id * 16 + number,
-                o_id,
-                number,
-                item_id,
-                qty,
-                round(price * qty, 2),
-                entry_d + rng.randint(0, 30),
-            ))
+        for _ in range(INITIAL_LOAD_LINES_PER_ORDER):
+            item_id = randrange(items)
+            qty = randint(1, 10)
+            item_ids.append(item_id)
+            quantities.append(qty)
+            amounts.append(round(prices[item_id] * qty, 2))
+            delivery.append(entry_d + randint(0, 30))
+
+    w_ids = np.arange(warehouses)
+    i_ids = np.arange(items)
+    seqs = np.arange(orders)
+    o_ids = INITIAL_ORDER_BASE + seqs
+    numbers = np.tile(np.arange(1, INITIAL_LOAD_LINES_PER_ORDER + 1), orders)
+    ol_o_ids = np.repeat(o_ids, INITIAL_LOAD_LINES_PER_ORDER)
+
+    db.table("warehouse").bulk_load([w_ids])
+    db.table("item").bulk_load([i_ids, prices])
+    db.table("stock").bulk_load([
+        stock_key(np.repeat(w_ids, items), np.tile(i_ids, warehouses)),
+        np.full(warehouses * items, INITIAL_STOCK_QUANTITY)])
+    db.table("orders").bulk_load([
+        o_ids, seqs % warehouses, 7000 + seqs % 365,
+        np.full(orders, INITIAL_LOAD_LINES_PER_ORDER)])
+    db.table("orderline").bulk_load([
+        ol_o_ids * 16 + numbers, ol_o_ids, numbers,
+        item_ids, quantities, amounts, delivery])
     return db
 
 

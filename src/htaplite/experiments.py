@@ -16,7 +16,7 @@ from .bench import (ORDERLINE_BASE_ROWS, TABLE_SCHEMAS, build_database,
 from .config import ConfigError
 from .olap import AccessPath, AccessPathPlan, QueryPlan
 from .rde import (NON_ISOLATED, OLAP, OLTP, S1, S2, S3_IS, S3_NI,
-                  RdeController, ResourceLedger, SystemState, assignment_s2)
+                  RdeController, ResourceLedger, SystemState)
 from .scheduler import DECISION_COLUMNS, DecisionLog, run_query, schedule_batch
 from .simcost import (ADAPTIVE, TRACE_COLUMNS, SimDb, StepGrowth,
                       estimate_etl_time, estimate_oltp_tps,
@@ -95,7 +95,8 @@ def dump_tables(db, out_dir):
     for name, store in db.tables.items():
         handle = store.current_frozen
         columns = [c.name for c in store.schema]
-        rows = [handle.read_row(r) for r in range(handle.committed_count)]
+        rows = zip(*(handle.column(c).slice(0, handle.committed_count).tolist()
+                     for c in columns))
         written.append(write_csv(Path(out_dir) / ("data_%s.csv" % name),
                                  "table %s" % name, columns, rows))
     return written
@@ -152,16 +153,6 @@ def _paths(plan, table_rows, path, cpus):
     per_column = {(t, c): path for t, c in plan.scanned_columns()}
     return AccessPathPlan(per_column=per_column, table_rows=table_rows,
                           execution_cpus=frozenset(cpus), epoch=None)
-
-
-def _isolated_state(tag, cfg):
-    ledger = ResourceLedger(cfg.topology(),
-                            oltp_sock_thres=cfg.oltp_socket_threshold)
-    ledger.apply(assignment_s2(cfg.topology(), cfg.oltp_socket_threshold))
-    state = SystemState(tag=tag, epoch=0,
-                        oltp_cpus=frozenset(ledger.cpus(OLTP)),
-                        olap_cpus=frozenset(ledger.cpus(OLAP)))
-    return state, ledger
 
 
 # -- experiments ---------------------------------------------------------------

@@ -12,6 +12,7 @@ per-row indication bits so the copies can be re-converged cheaply.
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -353,7 +354,10 @@ class TwinStore:
     `apply_insert` and `apply_update` are the same writes without the
     check and the gate, for a caller that already holds a commit section
     and has checked the op: a transaction commit checks its whole write
-    set once and applies it inside the one section it holds.
+    set once and applies it inside the one section it holds. Beside
+    them, `bulk_load` appends a whole batch of rows given by column:
+    it checks the batch, then writes it in one commit section, with
+    the same result as inserting its rows one by one.
     """
 
     def __init__(self, schema, capacity_hint=0, key_column=None, name="table",
@@ -387,14 +391,12 @@ class TwinStore:
         self.index = {}     # key -> (row_id, instance id)
         self.current_frozen = None
         self.delta_retention = delta_retention
-        self.has_unsynced_updates = False
 
         # live: updates since the last switch; sealed: updates covered by
         # the current frozen snapshot but not yet extracted
         self._live_dirty = {n: set() for n in names}
         self._sealed_dirty = {n: set() for n in names}
         self._col_updated = {n: False for n in names}
-        self._updated_since_switch = False
 
         # held by every insert from its key check to its append, so a key
         # found absent stays absent until the row lands
@@ -480,6 +482,39 @@ class TwinStore:
         self.committed_rows = need
         return row_id
 
+    def bulk_load(self, columns):
+        """Append committed rows given as one sequence per schema column.
+
+        The same state as inserting the rows one by one through
+        insert_committed, in order. The whole batch is checked (column
+        count, equal lengths, keys unique in the batch and absent from
+        the index) and converted to the column dtypes before anything
+        lands, so a bad batch raises with nothing applied.
+        """
+        if len(columns) != len(self.schema):
+            raise SchemaError("%d columns given, schema has %d"
+                              % (len(columns), len(self.schema)))
+        n = len(columns[0])
+        if any(len(col) != n for col in columns):
+            raise SchemaError("columns of unequal length")
+        raw_keys = columns[self._key_pos]
+        keys = raw_keys.tolist() if hasattr(raw_keys, "tolist") else list(raw_keys)
+        if len(set(keys)) != n:
+            raise KeyCollisionError("key repeated in a bulk load of table %r" % self.name)
+        arrays = [np.asarray(col, dtype=c.dtype()) for c, col in zip(self.schema, columns)]
+        with self.gate.commit_section(), self.append_lock:
+            if not self.index.keys().isdisjoint(keys):
+                clash = next(k for k in keys if k in self.index)
+                raise KeyCollisionError("duplicate key %r in table %r" % (clash, self.name))
+            start = self.committed_rows
+            end = start + n
+            for inst_columns in self._row_columns:
+                for col, values in zip(inst_columns, arrays):
+                    col.write_range(start, values)
+            self.bitmap.grow_to(-(-end // CHUNK_ROWS) * CHUNK_ROWS)
+            self.index.update(zip(keys, zip(range(start, end), repeat(self.active))))
+            self.committed_rows = end
+
     def update_committed(self, row_id, column_deltas, commit_ts=None):
         """Apply committed column changes to the active instance.
 
@@ -523,7 +558,6 @@ class TwinStore:
             for n in column_deltas:
                 self._col_updated[n] = True
                 self._live_dirty[n].add(row_id)
-            self._updated_since_switch = True
             self.index[key] = (row_id, self.active)
 
     # -- OLTP read path ----------------------------------------------------
@@ -618,10 +652,9 @@ def switch_tables(stores):
                 st.active ^= 1
                 st.epoch += 1
                 st.instances[st.active].epoch = st.epoch
-                captured[st.name] = (dict(st._col_updated), st._updated_since_switch)
+                captured[st.name] = dict(st._col_updated)
                 for n in st._col_updated:
                     st._col_updated[n] = False
-                st._updated_since_switch = False
                 for n, rows in st._live_dirty.items():
                     st._sealed_dirty[n] |= rows
                     st._live_dirty[n] = set()
@@ -631,7 +664,7 @@ def switch_tables(stores):
         out = {}
         with gate.exclusive_section():
             for st in stores:
-                col_flags, any_updates = captured[st.name]
+                col_flags = captured[st.name]
                 count = st.committed_rows
                 inact = st.instances[1 - st.active]
                 # stragglers commit between flip and freeze: their inserts
@@ -645,7 +678,6 @@ def switch_tables(stores):
                 inact.committed_count = count
                 handle = FrozenSnapshot(inact, count, st.epoch, st.schema)
                 st.current_frozen = handle
-                st.has_unsynced_updates = st.has_unsynced_updates or any_updates
                 stats = SwitchStats(
                     epoch=st.epoch,
                     per_column={c.name: (count, col_flags[c.name]) for c in st.schema},

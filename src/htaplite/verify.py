@@ -130,37 +130,29 @@ def _results_match(a, b):
     return True
 
 
+def _orderline_row(rng, items, seq):
+    return (seq, seq // 3, seq % 3 + 1, rng.randrange(items),
+            rng.randint(1, 50), round(rng.uniform(1.0, 5000.0), 2),
+            rng.randrange(7000, 7400))
+
+
 def _seeded_orderline_db(rng):
     db = Database()
     db.create_table("orderline", TABLE_SCHEMAS["orderline"])
     db.create_table("item", TABLE_SCHEMAS["item"])
-    item = db.table("item")
-    ol = db.table("orderline")
     items = rng.randrange(20, 120)
-    for i in range(items):
-        item.insert_committed((i, round(rng.uniform(1.0, 100.0), 2)))
-
-    def add_line(seq):
-        o_id = seq // 3
-        ol.insert_committed((
-            seq, o_id, seq % 3 + 1, rng.randrange(items),
-            rng.randint(1, 50), round(rng.uniform(1.0, 5000.0), 2),
-            rng.randrange(7000, 7400)))
-
+    prices = [round(rng.uniform(1.0, 100.0), 2) for _ in range(items)]
+    db.table("item").bulk_load([range(items), prices])
     initial = rng.randrange(50, 1500)
-    for seq in range(initial):
-        add_line(seq)
+    rows = [_orderline_row(rng, items, seq) for seq in range(initial)]
+    db.table("orderline").bulk_load(list(zip(*rows)))
     return db, items, initial
 
 
 def _mutate_orderline(rng, db, items, initial, tail):
     ol = db.table("orderline")
     for seq in range(initial, initial + tail):
-        o_id = seq // 3
-        ol.insert_committed((
-            seq, o_id, seq % 3 + 1, rng.randrange(items),
-            rng.randint(1, 50), round(rng.uniform(1.0, 5000.0), 2),
-            rng.randrange(7000, 7400)))
+        ol.insert_committed(_orderline_row(rng, items, seq))
     updates = rng.randrange(0, 40) if rng.random() < 0.7 else 0
     for _ in range(updates):
         row = rng.randrange(initial + tail)       # may land in the tail

@@ -5,7 +5,13 @@ Everything here recomputes expected results from first principles
 and deliberately shares no code with the engine.
 """
 
+import random
+
 import numpy as np
+
+from htaplite.bench import (INITIAL_LOAD_LINES_PER_ORDER, INITIAL_ORDER_BASE,
+                            INITIAL_STOCK_QUANTITY)
+from htaplite.txn import STOCK_KEY_SPAN
 
 
 def replay_oplog(oplog):
@@ -25,6 +31,55 @@ def replay_oplog(oplog):
         else:
             raise ValueError(entry[0])
     return model
+
+
+def reference_load(db, cfg):
+    """The initial load one row at a time, as the loader did it first.
+
+    One insert_committed per row, in the loader's random draw order,
+    with each line's price read back through read_latest.
+    """
+    rng = random.Random(cfg.seed)
+    item = db.table("item")
+    for w in range(cfg.warehouses):
+        db.table("warehouse").insert_committed((w,))
+    for i in range(cfg.items):
+        item.insert_committed((i, round(rng.uniform(1.0, 100.0), 2)))
+    for w in range(cfg.warehouses):
+        for i in range(cfg.items):
+            db.table("stock").insert_committed(
+                (w * STOCK_KEY_SPAN + i, INITIAL_STOCK_QUANTITY))
+    for seq in range(cfg.initial_orders):
+        o_id = INITIAL_ORDER_BASE + seq
+        entry_d = 7000 + seq % 365
+        db.table("orders").insert_committed(
+            (o_id, seq % cfg.warehouses, entry_d, INITIAL_LOAD_LINES_PER_ORDER))
+        for number in range(1, INITIAL_LOAD_LINES_PER_ORDER + 1):
+            item_id = rng.randrange(cfg.items)
+            qty = rng.randint(1, 10)
+            price = item.read_latest(item_id)[1]
+            db.table("orderline").insert_committed((
+                o_id * 16 + number, o_id, number, item_id, qty,
+                round(price * qty, 2), entry_d + rng.randint(0, 30)))
+    return db
+
+
+def store_state(store):
+    """Everything a load leaves in one table, in comparable form.
+
+    The committed row count, the active instance, the bitmap length,
+    the index entries in insertion order (repr, so a numpy scalar key
+    differs from a Python int) and the bytes of every chunk of both
+    instances.
+    """
+    return (store.committed_rows, store.active, len(store.bitmap._flags),
+            repr(list(store.index.items())),
+            [[chunk.tobytes() for chunk in inst.columns[c.name].chunks]
+             for inst in store.instances for c in store.schema])
+
+
+def engine_state(db):
+    return {name: store_state(store) for name, store in db.tables.items()}
 
 
 def instance_diff_cells(store, fence):

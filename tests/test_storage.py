@@ -19,7 +19,7 @@ from htaplite.storage import (
     switch_tables,
 )
 
-from oracles import instance_diff_cells, replay_oplog
+from oracles import instance_diff_cells, replay_oplog, store_state
 
 
 def three_col_schema():
@@ -212,7 +212,6 @@ class TestSwitch:
         st.insert_committed((1, 1, 0.0))
         _, stats = st.switch()
         assert not stats.any_updates
-        assert not st.has_unsynced_updates
 
     def test_epoch_strictly_increases_per_instance(self):
         st = make_store()
@@ -533,3 +532,81 @@ def test_copy_rows_from_matches_cell_copy():
         want.write(row, src.read(row))
     dst.copy_rows_from(src, rows)
     assert np.array_equal(dst.slice(0, n), want.slice(0, n))
+
+
+def tagged_schema():
+    return three_col_schema() + [ColumnSchema("tag", "str", width=6)]
+
+
+def tagged_columns(keys):
+    keys = list(keys)
+    return [keys, [k % 7 for k in keys], [k / 4 for k in keys],
+            ["t%d" % (k % 1000) for k in keys]]
+
+
+def tagged_rows(keys):
+    return list(zip(*tagged_columns(keys)))
+
+
+class TestBulkLoad:
+    @pytest.mark.parametrize("prefix, switched, batch", [
+        (0, False, 0),                  # empty batch
+        (0, False, 300),
+        (CHUNK_ROWS - 6, False, 20),    # crosses the first chunk boundary
+        (50, True, 300),                # after a switch: active is 1
+        (50, True, 0),
+    ])
+    def test_matches_single_row_inserts(self, prefix, switched, batch):
+        bulk, single = TwinStore(tagged_schema()), TwinStore(tagged_schema())
+        for st in (bulk, single):
+            for row in tagged_rows(range(prefix)):
+                st.insert_committed(row)
+            if switched:
+                st.switch()
+        assert bulk.active == (1 if switched else 0)
+
+        keys = range(10_000, 10_000 + batch)
+        bulk.bulk_load(tagged_columns(keys))
+        for row in tagged_rows(keys):
+            single.insert_committed(row)
+
+        assert store_state(bulk) == store_state(single)
+        assert bulk.committed_rows == prefix + batch
+        for key in list(single.index):
+            assert bulk.read_latest(key) == single.read_latest(key)
+
+    @pytest.mark.parametrize("bad, error", [
+        ("repeated key", KeyCollisionError),
+        ("existing key", KeyCollisionError),
+        ("column count", SchemaError),
+        ("unequal lengths", SchemaError),
+        ("oops in int64", ValueError),
+    ])
+    def test_bad_batch_applies_nothing(self, bad, error):
+        db = Database()
+        st = db.create_table("t", tagged_schema())
+        for row in tagged_rows(range(10)):
+            st.insert_committed(row)
+        columns = tagged_columns(range(100, 110))
+        if bad == "repeated key":
+            columns[0][-1] = 100
+        elif bad == "existing key":
+            columns[0][-1] = 5
+        elif bad == "column count":
+            columns.pop()
+        elif bad == "unequal lengths":
+            columns[2].pop()
+        else:
+            columns[1][3] = "oops"
+        before = store_state(st)
+
+        with pytest.raises(error):
+            st.bulk_load(columns)
+
+        assert store_state(st) == before
+        assert st.append_lock.acquire(blocking=False)
+        st.append_lock.release()
+        switcher = threading.Thread(target=db.switch_all, daemon=True)
+        switcher.start()
+        switcher.join(timeout=10)
+        assert not switcher.is_alive(), "switch_all blocked after a failed bulk load"
